@@ -11,10 +11,13 @@
 
 use crate::cc::CcDetector;
 use crate::context::DayContext;
+use crate::extract::{candidate_features, relate};
+use crate::labeled::LabeledSet;
 use crate::similarity::SimScorer;
+use earlybird_features::SimFeatures;
 use earlybird_logmodel::{DomainSym, HostId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How a domain ended up labeled malicious.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -138,11 +141,39 @@ impl BpOutcome {
     }
 }
 
+/// A candidate's per-run memo: everything about it that does not change
+/// as `M` grows, computed when it enters the pool.
+struct Candidate {
+    /// The similarity features that do not relate it to `M`.
+    features: SimFeatures,
+    /// Its `Detect_C&C` score, when the detector fires on it.
+    cc_score: Option<f64>,
+}
+
+impl Candidate {
+    fn new(ctx: &DayContext<'_>, cc: Option<&CcDetector>, domain: DomainSym) -> Self {
+        Candidate {
+            features: candidate_features(ctx, domain),
+            cc_score: cc.and_then(|cc| cc.evaluate(ctx, domain)).map(|det| det.score),
+        }
+    }
+}
+
 /// Runs Algorithm 1.
 ///
 /// `cc` implements `Detect_C&C`; pass `None` to disable the per-iteration
 /// C&C sweep (pure similarity expansion). `sim` implements
 /// `Compute_SimScore` with its threshold `T_s`.
+///
+/// # Cost
+///
+/// Each candidate's `Detect_C&C` verdict and its features that do not
+/// depend on `M` (connectivity, `NoRef`, `RareUA`, WHOIS) are computed
+/// once, when it enters the pool. The labeled set is a
+/// [`LabeledSet`], so adding a label costs O(hosts + IPs of the label), and
+/// an iteration costs O(Σ hosts(d) · log |M| + ips(d)) over the pool `d` —
+/// independent of |M|, where a scan of `M` per candidate would cost
+/// O(pool × |M|).
 ///
 /// Internal plumbing: applications run this through `earlybird-engine`'s
 /// `Engine::investigate` (explicit hint modes) or the engine's
@@ -155,25 +186,30 @@ pub fn belief_propagation(
     cfg: &BpConfig,
 ) -> BpOutcome {
     let mut hosts: BTreeSet<HostId> = seeds.hosts.iter().copied().collect();
-    let mut malicious: BTreeSet<DomainSym> = seeds.domains.iter().copied().collect();
+    let mut malicious = LabeledSet::from_domains(ctx.index, seeds.domains.iter().copied());
     let mut labeled: Vec<ScoredDomain> = seeds
         .domains
         .iter()
         .map(|&domain| ScoredDomain { domain, score: 1.0, reason: LabelReason::Seed, iteration: 0 })
         .collect();
 
-    // R: rare domains contacted by hosts in H.
-    let mut candidates: BTreeSet<DomainSym> = BTreeSet::new();
+    // The pool `R \ M`: unlabeled rare domains contacted by hosts in H, in
+    // symbol order.
+    let mut pool: BTreeMap<DomainSym, Candidate> = BTreeMap::new();
+    let extend_pool =
+        |pool: &mut BTreeMap<DomainSym, Candidate>, malicious: &LabeledSet, host: HostId| {
+            for &d in ctx.index.rare_domains_of(host).into_iter().flatten() {
+                if !malicious.contains(d) {
+                    pool.entry(d).or_insert_with(|| Candidate::new(ctx, cc, d));
+                }
+            }
+        };
     for &h in &hosts {
-        if let Some(rdoms) = ctx.index.rare_domains_of(h) {
-            candidates.extend(rdoms.iter().copied());
-        }
+        extend_pool(&mut pool, &malicious, h);
     }
 
     let mut iterations = Vec::new();
     for iteration in 1..=cfg.max_iterations {
-        let pool: Vec<DomainSym> =
-            candidates.iter().copied().filter(|d| !malicious.contains(d)).collect();
         let mut trace = IterationTrace {
             iteration,
             labeled: Vec::new(),
@@ -183,25 +219,23 @@ pub fn belief_propagation(
         };
 
         // Phase 1: Detect_C&C over the candidate pool.
-        let mut newly: Vec<ScoredDomain> = Vec::new();
-        if let Some(cc) = cc {
-            for &d in &pool {
-                if let Some(det) = cc.evaluate(ctx, d) {
-                    newly.push(ScoredDomain {
-                        domain: d,
-                        score: det.score,
-                        reason: LabelReason::CcDetected,
-                        iteration,
-                    });
-                }
-            }
-        }
+        let mut newly: Vec<ScoredDomain> = pool
+            .iter()
+            .filter_map(|(&domain, c)| {
+                c.cc_score.map(|score| ScoredDomain {
+                    domain,
+                    score,
+                    reason: LabelReason::CcDetected,
+                    iteration,
+                })
+            })
+            .collect();
 
         // Phase 2: top similarity scorer, if no C&C fired.
         if newly.is_empty() {
             let mut best: Option<(DomainSym, f64)> = None;
-            for &d in &pool {
-                let s = sim.score(ctx, d, &malicious);
+            for (&d, c) in &pool {
+                let s = sim.score_features(&relate(c.features, ctx, d, &malicious));
                 if best.is_none_or(|(_, bs)| s > bs) {
                     best = Some((d, s));
                 }
@@ -226,16 +260,15 @@ pub fn belief_propagation(
 
         // Expand M, H, and R.
         for nd in &newly {
-            malicious.insert(nd.domain);
+            pool.remove(&nd.domain);
+            malicious.insert(ctx.index, nd.domain);
             labeled.push(*nd);
-            if let Some(hs) = ctx.index.hosts_of(nd.domain) {
-                for &h in hs {
-                    if hosts.insert(h) {
-                        trace.new_hosts.push(h);
-                        if let Some(rdoms) = ctx.index.rare_domains_of(h) {
-                            candidates.extend(rdoms.iter().copied());
-                        }
-                    }
+        }
+        for nd in &newly {
+            for &h in ctx.index.hosts_of(nd.domain).into_iter().flatten() {
+                if hosts.insert(h) {
+                    trace.new_hosts.push(h);
+                    extend_pool(&mut pool, &malicious, h);
                 }
             }
         }

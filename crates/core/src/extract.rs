@@ -2,9 +2,9 @@
 //! §IV-C and the eight domain-similarity features of §IV-D.
 
 use crate::context::DayContext;
+use crate::labeled::LabeledSet;
 use earlybird_features::{CcFeatures, SimFeatures};
 use earlybird_logmodel::DomainSym;
-use std::collections::BTreeSet;
 
 /// Extracts the C&C feature vector of a rare automated `domain`.
 ///
@@ -23,18 +23,22 @@ pub fn cc_features(ctx: &DayContext<'_>, domain: DomainSym, auto_hosts: usize) -
 }
 
 /// Extracts the similarity feature vector of candidate `domain` relative to
-/// the malicious set `malicious` of the current belief-propagation state.
-pub fn sim_features(
-    ctx: &DayContext<'_>,
-    domain: DomainSym,
-    malicious: &BTreeSet<DomainSym>,
-) -> SimFeatures {
+/// the labeled set of the current belief-propagation state. `domain` must
+/// not itself be labeled.
+pub fn sim_features(ctx: &DayContext<'_>, domain: DomainSym, labeled: &LabeledSet) -> SimFeatures {
+    relate(candidate_features(ctx, domain), ctx, domain, labeled)
+}
+
+/// The similarity features of `domain` that do not depend on the labeled
+/// set (`MinInterval`, `IP24` and `IP16` are left unset). Belief
+/// propagation computes them once per candidate and run.
+pub(crate) fn candidate_features(ctx: &DayContext<'_>, domain: DomainSym) -> SimFeatures {
     let (dom_age, dom_validity) = ctx.whois_features(domain);
     SimFeatures {
         no_hosts: ctx.index.connectivity(domain) as f64,
-        min_interval_secs: min_interval_to_malicious(ctx, domain, malicious),
-        ip24: shares_subnet(ctx, domain, malicious, SubnetLevel::S24),
-        ip16: shares_subnet(ctx, domain, malicious, SubnetLevel::S16),
+        min_interval_secs: None,
+        ip24: false,
+        ip16: false,
         no_ref: ctx.index.no_ref_fraction(domain).unwrap_or(0.0),
         rare_ua: ctx.index.rare_ua_fraction(domain).unwrap_or(0.0),
         dom_age,
@@ -42,59 +46,20 @@ pub fn sim_features(
     }
 }
 
-/// Minimum gap in seconds between any host's first visit to `domain` and its
-/// first visit to any malicious domain ("the minimum timing difference
-/// between a host visit to domain D and other malicious domains in set S",
-/// §IV-D). `None` when no host visited both sides.
-pub fn min_interval_to_malicious(
+/// Fills in the features of `domain` that relate it to the labeled set.
+pub(crate) fn relate(
+    features: SimFeatures,
     ctx: &DayContext<'_>,
     domain: DomainSym,
-    malicious: &BTreeSet<DomainSym>,
-) -> Option<f64> {
-    let hosts = ctx.index.hosts_of(domain)?;
-    let mut best: Option<u64> = None;
-    for &host in hosts {
-        let Some(t_dom) = ctx.index.first_contact(host, domain) else {
-            continue;
-        };
-        for &m in malicious {
-            if m == domain {
-                continue;
-            }
-            if let Some(t_mal) = ctx.index.first_contact(host, m) {
-                let gap = t_dom.abs_diff(t_mal);
-                best = Some(best.map_or(gap, |b| b.min(gap)));
-            }
-        }
+    labeled: &LabeledSet,
+) -> SimFeatures {
+    debug_assert!(!labeled.contains(domain), "a labeled domain is not a candidate");
+    SimFeatures {
+        min_interval_secs: labeled.min_interval_secs(ctx.index, domain),
+        ip24: labeled.shares_subnet24(ctx.index, domain),
+        ip16: labeled.shares_subnet16(ctx.index, domain),
+        ..features
     }
-    best.map(|b| b as f64)
-}
-
-#[derive(Clone, Copy)]
-enum SubnetLevel {
-    S24,
-    S16,
-}
-
-fn shares_subnet(
-    ctx: &DayContext<'_>,
-    domain: DomainSym,
-    malicious: &BTreeSet<DomainSym>,
-    level: SubnetLevel,
-) -> bool {
-    let Some(ips) = ctx.index.ips_of(domain) else {
-        return false;
-    };
-    malicious.iter().filter(|&&m| m != domain).any(|&m| {
-        ctx.index.ips_of(m).is_some_and(|mips| {
-            ips.iter().any(|a| {
-                mips.iter().any(|b| match level {
-                    SubnetLevel::S24 => a.subnet24() == b.subnet24(),
-                    SubnetLevel::S16 => a.subnet16() == b.subnet16(),
-                })
-            })
-        })
-    })
 }
 
 #[cfg(test)]
@@ -174,15 +139,39 @@ mod tests {
             whois: None,
             whois_defaults: (0.0, 0.0),
         };
-        let mal: BTreeSet<DomainSym> = [w.folded.get("mal.c3").unwrap()].into_iter().collect();
+        let mal = w.folded.get("mal.c3").unwrap();
         let cand = w.folded.get("cand.c3").unwrap();
-        assert_eq!(min_interval_to_malicious(&ctx, cand, &mal), Some(60.0));
-        // A domain visited by no host that also visited `mal` has no interval.
-        let lonely: BTreeSet<DomainSym> = [cand].into_iter().collect();
-        assert_eq!(
-            min_interval_to_malicious(&ctx, w.folded.get("mal.c3").unwrap(), &lonely),
-            Some(60.0)
-        );
+        let labeled = LabeledSet::from_domains(&index, [mal]);
+        assert_eq!(sim_features(&ctx, cand, &labeled).min_interval_secs, Some(60.0));
+        // The relation is symmetric.
+        let labeled = LabeledSet::from_domains(&index, [cand]);
+        assert_eq!(sim_features(&ctx, mal, &labeled).min_interval_secs, Some(60.0));
+    }
+
+    #[test]
+    fn min_interval_takes_the_nearest_labeled_contact_on_either_side() {
+        let mut w = World::new();
+        w.push(100, 1, "early.c3", None, None);
+        w.push(1_000, 1, "late.c3", None, None);
+        w.push(50, 1, "before.c3", None, None);
+        w.push(900, 1, "between.c3", None, None);
+        w.push(1_500, 1, "after.c3", None, None);
+        w.push(950, 2, "other-host.c3", None, None);
+        let index = w.index();
+        let ctx = DayContext {
+            day: Day::new(0),
+            index: &index,
+            folded: &w.folded,
+            whois: None,
+            whois_defaults: (0.0, 0.0),
+        };
+        let sym = |name: &str| w.folded.get(name).unwrap();
+        let labeled = LabeledSet::from_domains(&index, [sym("late.c3"), sym("early.c3")]);
+        let gap = |name: &str| sim_features(&ctx, sym(name), &labeled).min_interval_secs;
+        assert_eq!(gap("before.c3"), Some(50.0));
+        assert_eq!(gap("between.c3"), Some(100.0));
+        assert_eq!(gap("after.c3"), Some(500.0));
+        assert_eq!(gap("other-host.c3"), None, "no shared host");
     }
 
     #[test]
@@ -200,32 +189,13 @@ mod tests {
             whois: None,
             whois_defaults: (0.0, 0.0),
         };
-        let mal: BTreeSet<DomainSym> = [w.folded.get("mal.c3").unwrap()].into_iter().collect();
+        let mal = LabeledSet::from_domains(&index, [w.folded.get("mal.c3").unwrap()]);
         let f24 = sim_features(&ctx, w.folded.get("same24.c3").unwrap(), &mal);
         assert!(f24.ip24 && f24.ip16, "/24 implies /16");
         let f16 = sim_features(&ctx, w.folded.get("same16.c3").unwrap(), &mal);
         assert!(!f16.ip24 && f16.ip16);
         let far = sim_features(&ctx, w.folded.get("far.c3").unwrap(), &mal);
         assert!(!far.ip24 && !far.ip16);
-    }
-
-    #[test]
-    fn candidate_never_matches_itself() {
-        let mut w = World::new();
-        w.push(1, 1, "self.c3", Some(Ipv4::new(9, 9, 9, 9)), None);
-        let index = w.index();
-        let ctx = DayContext {
-            day: Day::new(0),
-            index: &index,
-            folded: &w.folded,
-            whois: None,
-            whois_defaults: (0.0, 0.0),
-        };
-        let d = w.folded.get("self.c3").unwrap();
-        let mal: BTreeSet<DomainSym> = [d].into_iter().collect();
-        let f = sim_features(&ctx, d, &mal);
-        assert!(!f.ip24 && !f.ip16);
-        assert_eq!(f.min_interval_secs, None);
     }
 
     #[test]
@@ -241,7 +211,7 @@ mod tests {
             whois: None,
             whois_defaults: (0.0, 0.0),
         };
-        let mal: BTreeSet<DomainSym> = [w.folded.get("mal.c3").unwrap()].into_iter().collect();
+        let mal = LabeledSet::from_domains(&index, [w.folded.get("mal.c3").unwrap()]);
         let f = sim_features(&ctx, w.folded.get("cand.c3").unwrap(), &mal);
         assert_eq!(f.no_ref, 1.0);
         assert_eq!(f.rare_ua, 1.0, "absent UA counts as rare");

@@ -45,6 +45,9 @@ pub mod cc;
 pub mod context;
 pub mod daily;
 pub mod extract;
+pub mod labeled;
+#[cfg(test)]
+mod oracle;
 pub mod similarity;
 pub mod train;
 
@@ -54,6 +57,7 @@ pub use bp::{
 pub use cc::{automated_pairs_with, CcDetection, CcDetector, CcModel};
 pub use context::DayContext;
 pub use daily::{DailyPipeline, DayAccum, DayOutcome, DayProduct, PipelineConfig, ShardDayPartial};
-pub use extract::{cc_features, min_interval_to_malicious, sim_features};
+pub use extract::{cc_features, sim_features};
+pub use labeled::LabeledSet;
 pub use similarity::SimScorer;
 pub use train::{train_cc_model, train_sim_model, whois_defaults, CcSample, SimSample};

@@ -9,10 +9,12 @@
 //!   threshold `T_s = 0.25`.
 
 use crate::context::DayContext;
-use crate::extract::{min_interval_to_malicious, sim_features};
-use earlybird_features::{AdditiveScorer, FeatureScaler, IpProximity, RegressionModel};
+use crate::extract::sim_features;
+use crate::labeled::LabeledSet;
+use earlybird_features::{
+    AdditiveScorer, FeatureScaler, IpProximity, RegressionModel, SimFeatures,
+};
 use earlybird_logmodel::DomainSym;
-use std::collections::BTreeSet;
 
 /// Scorer for `Compute_SimScore` in Algorithm 1.
 #[derive(Clone, Debug)]
@@ -62,20 +64,20 @@ impl SimScorer {
         }
     }
 
-    /// Scores `domain` against the malicious set.
-    pub fn score(
-        &self,
-        ctx: &DayContext<'_>,
-        domain: DomainSym,
-        malicious: &BTreeSet<DomainSym>,
-    ) -> f64 {
+    /// Scores `domain` against the labeled set: extracts its eight
+    /// features ([`sim_features`]) and scores them
+    /// ([`SimScorer::score_features`]). Relating `domain` to the labeled
+    /// set costs O(hosts(domain) · log |M| + ips(domain)) through the
+    /// [`LabeledSet`] index, not a scan of `M`.
+    pub fn score(&self, ctx: &DayContext<'_>, domain: DomainSym, labeled: &LabeledSet) -> f64 {
+        self.score_features(&sim_features(ctx, domain, labeled))
+    }
+
+    /// Scores an already extracted feature vector.
+    pub fn score_features(&self, f: &SimFeatures) -> f64 {
         match self {
-            SimScorer::Regression { model, scaler } => {
-                let f = sim_features(ctx, domain, malicious);
-                model.score(&scaler.transform(&f.to_row()))
-            }
+            SimScorer::Regression { model, scaler } => model.score(&scaler.transform(&f.to_row())),
             SimScorer::Additive { scorer, correlation_window_secs, .. } => {
-                let f = sim_features(ctx, domain, malicious);
                 let timing =
                     f.min_interval_secs.is_some_and(|dt| dt <= *correlation_window_secs as f64);
                 let ip = if f.ip24 {
@@ -88,20 +90,6 @@ impl SimScorer {
                 scorer.score(f.no_hosts as u32, timing, ip).total
             }
         }
-    }
-
-    /// Timing correlation alone (exposed for diagnostics / Fig. 4 traces).
-    pub fn is_timing_correlated(
-        &self,
-        ctx: &DayContext<'_>,
-        domain: DomainSym,
-        malicious: &BTreeSet<DomainSym>,
-    ) -> bool {
-        let window = match self {
-            SimScorer::Additive { correlation_window_secs, .. } => *correlation_window_secs as f64,
-            SimScorer::Regression { .. } => 160.0,
-        };
-        min_interval_to_malicious(ctx, domain, malicious).is_some_and(|dt| dt <= window)
     }
 }
 
@@ -150,13 +138,13 @@ mod tests {
             whois_defaults: (0.0, 0.0),
         };
         let scorer = SimScorer::lanl_default();
-        let mal: BTreeSet<DomainSym> = [folded.get("mal.c3").unwrap()].into_iter().collect();
+        let mal = LabeledSet::from_domains(&index, [folded.get("mal.c3").unwrap()]);
         let cand = folded.get("cand.c3").unwrap();
         let s = scorer.score(&ctx, cand, &mal);
         // connectivity 2/3 + timing 1 + ip24 1 -> (0.667 + 1 + 1)/3 ≈ 0.889
         assert!(s > 0.8, "score = {s}");
         assert!(s >= scorer.threshold());
-        assert!(scorer.is_timing_correlated(&ctx, cand, &mal));
+        assert_eq!(sim_features(&ctx, cand, &mal).min_interval_secs, Some(50.0));
     }
 
     #[test]
@@ -175,7 +163,7 @@ mod tests {
             whois_defaults: (0.0, 0.0),
         };
         let scorer = SimScorer::lanl_default();
-        let mal: BTreeSet<DomainSym> = [folded.get("mal.c3").unwrap()].into_iter().collect();
+        let mal = LabeledSet::from_domains(&index, [folded.get("mal.c3").unwrap()]);
         let s = scorer.score(&ctx, folded.get("noise.c3").unwrap(), &mal);
         assert!(s < scorer.threshold(), "score = {s}");
     }
@@ -204,7 +192,12 @@ mod tests {
             whois_defaults: (0.0, 0.0),
         };
         let scorer = SimScorer::lanl_default();
-        let mal: BTreeSet<DomainSym> = [folded.get("mal.c3").unwrap()].into_iter().collect();
-        assert!(!scorer.is_timing_correlated(&ctx, folded.get("late.c3").unwrap(), &mal));
+        let mal = LabeledSet::from_domains(&index, [folded.get("mal.c3").unwrap()]);
+        let late = sim_features(&ctx, folded.get("late.c3").unwrap(), &mal);
+        assert_eq!(late.min_interval_secs, Some(161.0));
+        // One connected host of one, no subnet: only the timing term could
+        // lift the score, and 161 s is past the 160 s window.
+        let expected = AdditiveScorer::paper_default().score(1, false, IpProximity::None).total;
+        assert_eq!(scorer.score_features(&late), expected);
     }
 }

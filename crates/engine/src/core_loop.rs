@@ -349,6 +349,7 @@ impl Engine {
 
     pub(crate) fn set_whois_defaults(&mut self, defaults: (f64, f64)) {
         self.cfg.whois_defaults = defaults;
+        self.bump_models_epoch();
     }
 
     pub(crate) fn set_models(
@@ -358,6 +359,7 @@ impl Engine {
     ) {
         self.cfg.cc_model = cc_model;
         self.cfg.sim = sim;
+        self.bump_models_epoch();
     }
 
     pub(crate) fn operation_products(&self) -> &BTreeMap<Day, Arc<DayProduct>> {

@@ -104,6 +104,10 @@ pub(crate) struct PersistCursor {
     history: usize,
     ua_pairs: usize,
     days: BTreeSet<Day>,
+    /// Trained-state changes (models, WHOIS defaults) since the last full
+    /// block. Only full blocks carry the configuration, so a day freeze
+    /// with a non-zero epoch is promoted to a full one.
+    models_epoch: u64,
 }
 
 impl Engine {
@@ -112,6 +116,15 @@ impl Engine {
     /// the engine's read paths never touch it.
     fn lock_cursor(&self) -> std::sync::MutexGuard<'_, PersistCursor> {
         self.persist_cursor.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Records a change to the trained state, which the next
+    /// [`Engine::freeze_day`] must persist as a full block.
+    pub(crate) fn bump_models_epoch(&mut self) {
+        self.persist_cursor
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .models_epoch += 1;
     }
 
     fn current_cursor(&self) -> PersistCursor {
@@ -124,6 +137,7 @@ impl Engine {
             history: self.pipeline.history().ordered().len(),
             ua_pairs: self.pipeline.ua_history().pair_log().len(),
             days: self.reports.keys().copied().collect(),
+            models_epoch: 0,
         }
     }
 
@@ -171,8 +185,19 @@ impl Engine {
     /// produce a chain the restore path rejects; freeze a fresh full
     /// snapshot ([`Engine::freeze`]) to persist back-filled days. On error
     /// the cursor is untouched.
+    ///
+    /// Day segments do not carry the engine configuration. When the
+    /// trained state changed since the last full snapshot
+    /// ([`Engine::train_enterprise`]), this freezes a full snapshot
+    /// instead, exactly like [`Engine::freeze`], so the models reach the
+    /// chain.
     pub fn freeze_day(&self) -> StoreResult<EngineSnapshot> {
         let mut cursor = self.lock_cursor();
+        if cursor.models_epoch != 0 {
+            let (snap, next) = self.freeze_locked(BlockKind::Full, &PersistCursor::default());
+            *cursor = next;
+            return Ok(snap);
+        }
         Self::check_segment_freshness(&cursor, &self.reports)?;
         let delta = cursor.clone();
         let (snap, next) = self.freeze_locked(BlockKind::DaySegment, &delta);
@@ -245,6 +270,7 @@ impl Engine {
             history: history.0 + history.1.len(),
             ua_pairs: ua_history.1 + ua_history.2.len(),
             days: self.reports.keys().copied().collect(),
+            models_epoch: 0,
         };
         let snap = EngineSnapshot {
             kind,

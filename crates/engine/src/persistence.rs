@@ -49,12 +49,16 @@ use std::thread::JoinHandle;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SnapshotMode {
     /// Full snapshot when the chain is empty (first commit), O(day)
-    /// segment afterwards — the daily-cycle default.
+    /// segment afterwards — the daily-cycle default. As with
+    /// [`SnapshotMode::Day`], a segment after a model change is promoted
+    /// to a full snapshot.
     #[default]
     Auto,
     /// Always a full snapshot (replaces the whole chain).
     Full,
-    /// Always a day segment (errors on an empty chain at commit time).
+    /// Always a day segment (errors on an empty chain at commit time),
+    /// except the first freeze after the trained models changed, which
+    /// [`Engine::freeze_day`] promotes to a full snapshot.
     Day,
 }
 

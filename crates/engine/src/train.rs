@@ -6,7 +6,7 @@ use crate::core_loop::Engine;
 use crate::report::TrainingReport;
 use earlybird_core::{
     cc_features, sim_features, train_cc_model, train_sim_model, whois_defaults, CcModel, CcSample,
-    SimSample,
+    LabeledSet, SimSample,
 };
 use earlybird_features::FitError;
 use earlybird_intel::{VirusTotalOracle, WhoisAnswer};
@@ -74,12 +74,12 @@ impl Engine {
             // Similarity training: rare non-automated domains contacted by
             // hosts that also contact VT-confirmed automated domains
             // (§VI-A).
-            let mut confirmed: BTreeSet<DomainSym> = BTreeSet::new();
+            let mut confirmed = LabeledSet::default();
             let mut hosts = BTreeSet::new();
             for &(domain, _) in &autos {
                 let name = product.folded.resolve(domain);
                 if vt.is_reported(&name, train_end) {
-                    confirmed.insert(domain);
+                    confirmed.insert(&product.index, domain);
                     if let Some(hs) = product.index.hosts_of(domain) {
                         hosts.extend(hs.iter().copied());
                     }
@@ -92,7 +92,7 @@ impl Engine {
             for &h in &hosts {
                 let Some(rdoms) = product.index.rare_domains_of(h) else { continue };
                 for &d in rdoms {
-                    if confirmed.contains(&d) || !seen.insert(d) {
+                    if confirmed.contains(d) || !seen.insert(d) {
                         continue;
                     }
                     let features = sim_features(&ctx, d, &confirmed);

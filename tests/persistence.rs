@@ -8,7 +8,10 @@
 //!   quiescent sync checkpoint taken at the same cursor;
 //! * a **tiered** compaction pass replays at most `1 + K` chain blocks,
 //!   and publishes that bound through the `compaction_replay_segments`
-//!   gauge; every freeze records a `checkpoint_stall_micros` sample.
+//!   gauge; every freeze records a `checkpoint_stall_micros` sample;
+//! * models fitted after the chain's last full block reach the chain: the
+//!   next commit is promoted to a full block, so a restore scores with the
+//!   trained models.
 
 // Each integration-test crate uses a subset of the harness; the unused
 // remainder is not a defect.
@@ -16,11 +19,14 @@
 #[allow(dead_code)]
 mod support;
 
+use earlybird::core::{CcModel, SimScorer};
 use earlybird::engine::{
     CompactionTrigger, DayBatch, Engine, EngineBuilder, IngestSource, LifecycleConfig,
     MetricsRegistry, Persistence, RetentionPolicy, SnapshotPolicy,
 };
+use earlybird::logmodel::Day;
 use earlybird::store::BlockKind;
+use earlybird::synthgen::ac::{AcConfig, AcGenerator};
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -224,4 +230,61 @@ fn tiered_cycle_bounds_replay_and_publishes_the_gauge() {
         drop(store);
         backend.cleanup();
     }
+}
+
+/// Training changes the engine configuration, which only full blocks
+/// carry. A day segment committed after `train_enterprise` on a chain whose
+/// full block predates training must not lose the models: the commit is
+/// promoted to a full block, the restored engine scores with the trained
+/// regressions and re-freezes byte-identical to the live one, and the
+/// commit after that is a plain day segment again.
+#[test]
+fn trained_models_survive_a_day_segment_commit() {
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let data = &world.dataset;
+    let train_end = world.config.feb_day(14);
+    let builder = || {
+        EngineBuilder::enterprise()
+            .whois(world.intel.whois.clone())
+            .proxy_interners(Arc::clone(&data.uas), Arc::clone(&data.paths))
+    };
+    let mut engine =
+        builder().build(Arc::clone(&data.domains), data.meta.clone()).expect("valid config");
+    let store = Persistence::new(
+        Backend::Mem(earlybird::engine::MemBackend::new())
+            .create(LifecycleConfig {
+                compaction: CompactionTrigger::disabled(),
+                retention: RetentionPolicy::default(),
+            })
+            .expect("create store"),
+        SnapshotPolicy::default(),
+    );
+    let mut days = data.days.iter().peekable();
+    let mut ingest_and_commit = |engine: &mut Engine, last: Day| {
+        let mut kinds = Vec::new();
+        while let Some(day) = days.next_if(|d| d.day <= last) {
+            engine.ingest_day(DayBatch::Proxy { day, dhcp: &data.dhcp });
+            kinds.push(store.commit(engine).expect("freeze").wait().expect("commit").block.kind);
+        }
+        kinds
+    };
+
+    let before = ingest_and_commit(&mut engine, train_end);
+    assert_eq!(before[0], BlockKind::Full, "the chain opens with a full block");
+    assert!(before[1..].iter().all(|&k| k == BlockKind::DaySegment));
+    engine.train_enterprise(train_end, &world.intel.vt, 0.4, 0.4).expect("tiny world trains");
+    let after = ingest_and_commit(&mut engine, Day::new(train_end.index() + 2));
+    assert_eq!(after, [BlockKind::Full, BlockKind::DaySegment], "promoted once, then segments");
+
+    let restored =
+        store.restore_with_domains(Arc::clone(&data.domains), builder()).expect("chain restores");
+    assert!(matches!(restored.config().cc_model, CcModel::Regression { .. }));
+    assert!(matches!(restored.config().sim, SimScorer::Regression { .. }));
+    assert_eq!(restored.whois_defaults(), engine.whois_defaults());
+    let frozen = |engine: &Engine| {
+        let mut bytes = Vec::new();
+        engine.freeze().write_to(&mut bytes).expect("frozen view serializes");
+        bytes
+    };
+    assert_eq!(frozen(&restored), frozen(&engine), "restored engine re-freezes identically");
 }
